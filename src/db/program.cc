@@ -2,10 +2,39 @@
 
 namespace xsb {
 
+namespace {
+
+// Start positions of the top-level conjuncts of the body of rule `clause`,
+// left to right.
+std::vector<uint32_t> BodyConjuncts(const SymbolTable& symbols,
+                                    const Clause& clause) {
+  const std::vector<Word>& cells = clause.term.cells;
+  std::vector<uint32_t> out;
+  std::vector<size_t> pending{SkipFlatSubterm(symbols, cells, clause.head_pos)};
+  while (!pending.empty()) {
+    size_t pos = pending.back();
+    pending.pop_back();
+    Word w = cells[pos];
+    if (IsFunctor(w) && symbols.FunctorArity(FunctorOf(w)) == 2 &&
+        symbols.FunctorAtom(FunctorOf(w)) == symbols.comma()) {
+      size_t left = pos + 1;
+      pending.push_back(SkipFlatSubterm(symbols, cells, left));
+      pending.push_back(left);
+      continue;
+    }
+    out.push_back(static_cast<uint32_t>(pos));
+  }
+  return out;
+}
+
+}  // namespace
+
 ClauseId Predicate::AddClause(const SymbolTable& symbols, Clause clause,
                               bool front) {
   ++live_count_;
+  if (clause.is_rule) clause.body = BodyConjuncts(symbols, clause);
   if (front && !clauses_.empty()) {
+    ++front_inserts_;
     clauses_.insert(clauses_.begin(), std::move(clause));
     Reindex(symbols);
     return 0;
@@ -117,28 +146,26 @@ void Predicate::SetNoIndex() {
   trie_.reset();
 }
 
-std::vector<ClauseId> Predicate::Candidates(const TermStore& store,
-                                            Word goal) const {
+CandidateSpan Predicate::CandidateIds(const TermStore& store, Word goal,
+                                      std::vector<ClauseId>* scratch) const {
   goal = store.Deref(goal);
-  std::vector<ClauseId> all;
-  auto scan_all = [&]() {
-    all.reserve(clauses_.size());
-    for (ClauseId id = 0; id < clauses_.size(); ++id) all.push_back(id);
-    return all;
+  const CandidateSpan all{nullptr, static_cast<uint32_t>(clauses_.size())};
+  auto span = [](const std::vector<ClauseId>& ids) {
+    return CandidateSpan{ids.data(), static_cast<uint32_t>(ids.size())};
   };
 
   switch (index_kind_) {
     case IndexKind::kNone:
-      return scan_all();
+      return all;
     case IndexKind::kFirstArg: {
-      if (first_arg_ == nullptr || !IsStruct(goal)) return scan_all();
+      if (first_arg_ == nullptr || !IsStruct(goal)) return all;
       Word arg = store.Deref(store.Arg(goal, 0));
-      if (IsRef(arg)) return scan_all();
+      if (IsRef(arg)) return all;
       Word key = IsStruct(arg) ? FunctorCell(store.StructFunctor(arg)) : arg;
-      return first_arg_->Lookup(key);
+      return span(first_arg_->Lookup(key));
     }
     case IndexKind::kMultiField: {
-      if (!IsStruct(goal)) return scan_all();
+      if (!IsStruct(goal)) return all;
       // First declared index whose fields are all bound in the call wins,
       // mirroring ":- index(p/5,[1,2,3+5])" semantics from the paper.
       for (const auto& index : hash_indexes_) {
@@ -157,16 +184,26 @@ std::vector<ClauseId> Predicate::Candidates(const TermStore& store,
         }
         if (!usable) continue;
         const std::vector<ClauseId>* bucket = index->Lookup(keys);
-        if (bucket != nullptr) return *bucket;
+        if (bucket != nullptr) return span(*bucket);
       }
-      return scan_all();
+      return all;
     }
     case IndexKind::kFirstString: {
-      if (trie_ == nullptr) return scan_all();
-      return trie_->Lookup(store, goal);
+      if (trie_ == nullptr) return all;
+      *scratch = trie_->Lookup(store, goal);
+      return span(*scratch);
     }
   }
-  return scan_all();
+  return all;
+}
+
+std::vector<ClauseId> Predicate::Candidates(const TermStore& store,
+                                            Word goal) const {
+  std::vector<ClauseId> scratch;
+  CandidateSpan span = CandidateIds(store, goal, &scratch);
+  std::vector<ClauseId> out(span.size);
+  for (uint32_t i = 0; i < span.size; ++i) out[i] = span[i];
+  return out;
 }
 
 Predicate* Program::Lookup(FunctorId functor) {

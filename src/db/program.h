@@ -112,7 +112,20 @@ struct Clause {
   bool is_rule = false;
   bool erased = false;  // tombstone left by retract
   size_t head_pos = 0;  // position of the head within term.cells
+  // Start positions in term.cells of the body's top-level conjuncts, left
+  // to right, with every ','/2 split away (set by Predicate::AddClause;
+  // empty for facts).
+  std::vector<uint32_t> body;
   SourceSpan span;      // where the clause was read; unknown for asserts
+};
+
+// Candidate clauses that borrow their storage: ids[0..size) when ids is
+// non-null, otherwise every clause id below size. Valid until the predicate
+// next changes.
+struct CandidateSpan {
+  const ClauseId* ids = nullptr;
+  uint32_t size = 0;
+  ClauseId operator[](uint32_t i) const { return ids != nullptr ? ids[i] : i; }
 };
 
 // A predicate: its clauses plus indexing and evaluation attributes.
@@ -216,8 +229,17 @@ class Predicate {
   // Candidate clauses for `goal` (a dereferenced heap term of this
   // predicate), best available index first. The result is a superset of the
   // clauses whose heads unify with the goal, in source order, and may
-  // include erased clauses (callers must check).
+  // include erased clauses (callers must check). `scratch` holds the ids
+  // when the index computes rather than stores them (first-string).
+  CandidateSpan CandidateIds(const TermStore& store, Word goal,
+                             std::vector<ClauseId>* scratch) const;
+  // The same list, copied.
   std::vector<ClauseId> Candidates(const TermStore& store, Word goal) const;
+
+  // Number of asserta-style insertions so far. Each shifts every existing
+  // ClauseId up by one, so a saved id plus the growth of this count names
+  // the same clause.
+  uint32_t front_inserts() const { return front_inserts_; }
 
   const FirstStringIndex* first_string_index() const { return trie_.get(); }
 
@@ -240,6 +262,7 @@ class Predicate {
   std::unique_ptr<const PublishedModes> modes_;
   std::unique_ptr<const std::unordered_map<Word, ShardMask>> key_masks_;
   size_t live_count_ = 0;
+  uint32_t front_inserts_ = 0;
 
   IndexKind index_kind_ = IndexKind::kFirstArg;
   std::vector<std::vector<int>> field_sets_ = {{1}};

@@ -213,7 +213,7 @@ BuiltinResult BuiltinUniv(Machine& m, Word goal, const GoalNode*) {
   // Build the term from the list.
   std::vector<Word> items;
   Word cur = list;
-  FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
+  FunctorId cons = store->cons_functor();
   while (true) {
     cur = store->Deref(cur);
     if (IsAtom(cur) && AtomOf(cur) == symbols->nil()) break;
@@ -387,7 +387,7 @@ BuiltinResult BuiltinLength(Machine& m, Word goal, const GoalNode*) {
   SymbolTable* symbols = store->symbols();
   Word list = Arg(m, goal, 0);
   Word n = Arg(m, goal, 1);
-  FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
+  FunctorId cons = store->cons_functor();
   // Walk the list as far as it is bound.
   int64_t count = 0;
   Word cur = list;
@@ -422,7 +422,7 @@ BuiltinResult BuiltinLength(Machine& m, Word goal, const GoalNode*) {
 bool ListToVector(Machine& m, Word list, std::vector<Word>* items) {
   TermStore* store = m.store();
   SymbolTable* symbols = store->symbols();
-  FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
+  FunctorId cons = store->cons_functor();
   Word cur = store->Deref(list);
   while (true) {
     if (IsAtom(cur) && AtomOf(cur) == symbols->nil()) return true;
@@ -1083,7 +1083,7 @@ Status DeclareIncrementalSpec(Machine& m, Word spec) {
   SymbolTable* symbols = store->symbols();
   spec = store->Deref(spec);
   FunctorId comma = symbols->InternFunctor(symbols->comma(), 2);
-  FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
+  FunctorId cons = store->cons_functor();
   FunctorId slash = symbols->InternFunctor(symbols->InternAtom("/"), 2);
   if (IsStruct(spec)) {
     FunctorId f = store->StructFunctor(spec);

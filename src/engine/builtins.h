@@ -15,10 +15,9 @@ enum class BuiltinResult {
   kError,  // machine->SetError was called
 };
 
-// `node` is the resolvent node of the call (its ->next is the
-// continuation; its cut_depth the enclosing clause's cut barrier).
-using BuiltinFn = BuiltinResult (*)(Machine& machine, Word goal,
-                                    const GoalNode* node);
+// A BuiltinFn (engine/machine.h) gets the goal and `node`, the resolvent
+// node of the call (its ->next is the continuation; its cut_depth the
+// enclosing clause's cut barrier).
 
 // The table of builtin predicates, keyed by functor. One per Machine, since
 // functor ids are SymbolTable-relative.

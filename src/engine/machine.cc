@@ -1,61 +1,141 @@
 #include "engine/machine.h"
 
+#include <algorithm>
+
 #include "engine/builtins.h"
 
 namespace xsb {
+
+namespace {
+
+constexpr FunctorId kNoFunctor = ~FunctorId{0};
+
+// Arithmetic operators, as stored in Machine::arith_ops_.
+enum ArithOp : uint8_t {
+  kNoOp = 0,
+  kNeg,
+  kPlus,
+  kAbs,
+  kSign,
+  kBitNot,
+  kAdd,
+  kSub,
+  kMul,
+  kDiv,
+  kMod,
+  kRem,
+  kMin,
+  kMax,
+  kShr,
+  kShl,
+  kBitAnd,
+  kBitOr,
+  kXor,
+  kPow,
+};
+
+}  // namespace
 
 Machine::Machine(TermStore* store, Program* program)
     : store_(store),
       program_(program),
       builtins_(std::make_unique<BuiltinRegistry>(store->symbols())) {
   SymbolTable* symbols = store->symbols();
-  auto f = [&](const char* name, int arity) {
-    return symbols->InternFunctor(symbols->InternAtom(name), arity);
+  functor_table_.resize(symbols->num_functors());
+  auto control = [&](const char* name, int arity, Control kind) {
+    FunctorId f = symbols->InternFunctor(symbols->InternAtom(name), arity);
+    Entry(f).control = kind;
+    return f;
   };
-  f_comma_ = f(",", 2);
-  f_semicolon_ = f(";", 2);
-  f_arrow_ = f("->", 2);
-  f_naf_ = f("\\+", 1);
-  f_cut_ = f("!", 0);
-  f_tcut_ = f("tcut", 0);
-  f_true_ = f("true", 0);
-  f_fail_ = f("fail", 0);
-  f_false_ = f("false", 0);
-  f_ite_commit_ = f("$ite_commit", 1);
-  f_tabled_answer_ = f("$tabled_answer", 2);
-  f_tnot_ = f("tnot", 1);
-  f_e_tnot_ = f("e_tnot", 1);
-  f_tfindall_ = f("tfindall", 3);
-  f_resolve_clauses_ = f("$resolve_clauses", 1);
+  control(",", 2, Control::kConjunction);
+  control(";", 2, Control::kDisjunction);
+  f_arrow_ = control("->", 2, Control::kIfThen);
+  control("\\+", 1, Control::kNegation);
+  control("!", 0, Control::kCut);
+  control("tcut", 0, Control::kCut);
+  control("true", 0, Control::kTrue);
+  control("fail", 0, Control::kFail);
+  control("false", 0, Control::kFail);
+  f_ite_commit_ = control("$ite_commit", 1, Control::kIteCommit);
+  control("$tabled_answer", 2, Control::kTabledAnswer);
+  control("tnot", 1, Control::kTnot);
+  control("e_tnot", 1, Control::kETnot);
+  control("tfindall", 3, Control::kTFindall);
+  control("$resolve_clauses", 1, Control::kResolveClauses);
+  fail_atom_ = AtomCell(symbols->InternAtom("fail"));
+  auto arith = [&](const char* name, int arity, ArithOp op) {
+    FunctorId f = symbols->InternFunctor(symbols->InternAtom(name), arity);
+    if (f >= arith_ops_.size()) arith_ops_.resize(f + 1, kNoOp);
+    arith_ops_[f] = op;
+  };
+  arith("-", 1, kNeg);
+  arith("+", 1, kPlus);
+  arith("abs", 1, kAbs);
+  arith("sign", 1, kSign);
+  arith("\\", 1, kBitNot);
+  arith("+", 2, kAdd);
+  arith("-", 2, kSub);
+  arith("*", 2, kMul);
+  arith("//", 2, kDiv);
+  arith("/", 2, kDiv);
+  arith("mod", 2, kMod);
+  arith("rem", 2, kRem);
+  arith("min", 2, kMin);
+  arith("max", 2, kMax);
+  arith(">>", 2, kShr);
+  arith("<<", 2, kShl);
+  arith("/\\", 2, kBitAnd);
+  arith("\\/", 2, kBitOr);
+  arith("xor", 2, kXor);
+  arith("**", 2, kPow);
+  arith("^", 2, kPow);
 }
 
 Machine::~Machine() = default;
 
 void Machine::CutTo(size_t depth) {
-  if (cps_.size() > depth) cps_.resize(depth);
+  if (cps_.size() > depth) {
+    candidate_pool_.resize(cps_[depth].pool_mark);
+    cps_.resize(depth);
+  }
+}
+
+Machine::ChoicePoint& Machine::PushChoice(ChoiceKind kind,
+                                          const GoalNode* cont) {
+  ChoicePoint& cp = cps_.emplace_back();
+  cp.kind = kind;
+  cp.cont = cont;
+  cp.trail_mark = store_->TrailMark();
+  cp.heap_mark = store_->HeapMark();
+  cp.arena_mark = arena_.size();
+  cp.pool_mark = candidate_pool_.size();
+  ++stats_.choice_points;
+  return cp;
+}
+
+void Machine::PopChoice() {
+  candidate_pool_.resize(cps_.back().pool_mark);
+  cps_.pop_back();
 }
 
 void Machine::PushAnswerChoices(Word goal, const AnswerSource* answers,
                                 const GoalNode* cont) {
-  ChoicePoint cp;
-  cp.kind = ChoiceKind::kAnswers;
-  cp.cont = cont;
-  cp.trail_mark = store_->TrailMark();
-  cp.heap_mark = store_->HeapMark();
+  ChoicePoint& cp = PushChoice(ChoiceKind::kAnswers, cont);
   cp.goal = goal;
   cp.answers = answers;
   const FlatTerm* tmpl = answers->answer_template();
   if (tmpl != nullptr) {
-    // Substitution-factored source: unify the call template against the
+    // Substitution-factored source: match the call template against the
     // goal once, here, *before* capturing the choice point's marks. The
     // goal is a variant of the template (that is how the table was found),
     // so this only aliases template variables to goal subterms; per-answer
     // backtracking then undoes answer bindings but keeps the aliasing, and
     // each answer needs only its binding cells unified — the ground call
     // skeleton is never decoded again.
-    cp.template_vars.assign(tmpl->num_vars, 0);
-    Word t = Unflatten(store_, *tmpl, &cp.template_vars);
-    if (store_->Unify(goal, t)) {
+    cp.template_vars.assign(tmpl->num_vars, kUnsetSlot);
+    size_t pos = 0;
+    if (UnifyFlat(store_, *tmpl, &pos, goal, &cp.template_vars,
+                  &unify_scratch_)) {
       cp.factored = true;
       cp.trail_mark = store_->TrailMark();
       cp.heap_mark = store_->HeapMark();
@@ -66,22 +146,14 @@ void Machine::PushAnswerChoices(Word goal, const AnswerSource* answers,
       cp.template_vars.clear();
     }
   }
-  cps_.push_back(std::move(cp));
-  ++stats_.choice_points;
 }
 
 void Machine::PushBetweenChoices(Word var, int64_t low, int64_t high,
                                  const GoalNode* cont) {
-  ChoicePoint cp;
-  cp.kind = ChoiceKind::kBetween;
-  cp.cont = cont;
-  cp.trail_mark = store_->TrailMark();
-  cp.heap_mark = store_->HeapMark();
+  ChoicePoint& cp = PushChoice(ChoiceKind::kBetween, cont);
   cp.goal = var;
   cp.next_value = low;
   cp.max_value = high;
-  cps_.push_back(std::move(cp));
-  ++stats_.choice_points;
 }
 
 void Machine::PushPendingGoal(Word goal) {
@@ -97,22 +169,42 @@ bool Machine::TryClause(Predicate* pred, ClauseId id, Word goal,
                         const GoalNode** new_goals) {
   const Clause& clause = pred->clause(id);
   ++stats_.head_unifications;
-  clause_vars_.assign(clause.term.num_vars, 0);
-  Word inst = Unflatten(store_, clause.term, &clause_vars_);
-  Word head = inst;
-  Word body = 0;
-  if (clause.is_rule) {
-    Word d = store_->Deref(inst);
-    head = store_->Arg(d, 0);
-    body = store_->Arg(d, 1);
+  clause_vars_.assign(clause.term.num_vars, kUnsetSlot);
+  size_t pos = clause.head_pos;
+  if (!UnifyFlat(store_, clause.term, &pos, goal, &clause_vars_,
+                 &unify_scratch_)) {
+    return false;
   }
-  if (!store_->Unify(goal, head)) return false;
-  if (!clause.is_rule) {
-    *new_goals = cont;
-  } else {
-    *new_goals = Cons(body, cont, entry_depth);
+  // Build the conjuncts left to right, so variables first met in the body
+  // get cells in reading order, then cons them onto the continuation.
+  body_scratch_.clear();
+  for (uint32_t start : clause.body) {
+    size_t p = start;
+    body_scratch_.push_back(
+        UnflattenNext(store_, clause.term, &p, &clause_vars_));
   }
+  const GoalNode* g = cont;
+  for (auto it = body_scratch_.rbegin(); it != body_scratch_.rend(); ++it) {
+    g = Cons(*it, g, entry_depth);
+  }
+  *new_goals = g;
   return true;
+}
+
+ClauseId Machine::CandidateAt(const ChoicePoint& cp) const {
+  ClauseId id =
+      cp.in_pool ? candidate_pool_[cp.next_candidate] : cp.next_candidate;
+  return id + (cp.pred->front_inserts() - cp.front_inserts);
+}
+
+bool Machine::SkipDeadCandidates(ChoicePoint& cp) const {
+  for (; cp.next_candidate < cp.end_candidate; ++cp.next_candidate) {
+    ClauseId id = CandidateAt(cp);
+    if (id < cp.pred->clauses().size() && !cp.pred->clause(id).erased) {
+      return true;
+    }
+  }
+  return false;
 }
 
 bool Machine::Backtrack(size_t base_cp, const GoalNode** goals) {
@@ -120,33 +212,36 @@ bool Machine::Backtrack(size_t base_cp, const GoalNode** goals) {
     ChoicePoint& cp = cps_.back();
     store_->UndoTrail(cp.trail_mark);
     store_->TruncateHeap(cp.heap_mark);
+    arena_.Truncate(cp.arena_mark);
     switch (cp.kind) {
       case ChoiceKind::kClauses: {
-        uint32_t entry_depth = static_cast<uint32_t>(cps_.size() - 1);
-        while (cp.next_candidate < cp.candidates.size()) {
-          ClauseId id = cp.candidates[cp.next_candidate++];
-          if (cp.pred->clause(id).erased) continue;
-          if (TryClause(cp.pred, id, cp.goal, cp.cont, entry_depth, goals)) {
-            return true;
-          }
-          store_->UndoTrail(cp.trail_mark);
-          store_->TruncateHeap(cp.heap_mark);
+        if (!SkipDeadCandidates(cp)) {
+          PopChoice();
+          continue;
         }
-        cps_.pop_back();
+        ClauseId id = CandidateAt(cp);
+        ++cp.next_candidate;
+        Predicate* pred = cp.pred;
+        Word goal = cp.goal;
+        const GoalNode* cont = cp.cont;
+        uint32_t entry_depth = static_cast<uint32_t>(cps_.size() - 1);
+        // The last alternative runs without its choice point.
+        if (!SkipDeadCandidates(cp)) PopChoice();
+        if (TryClause(pred, id, goal, cont, entry_depth, goals)) return true;
         continue;
       }
       case ChoiceKind::kDisjunction: {
         Word alternative = cp.alternative;
         const GoalNode* cont = cp.cont;
         uint32_t cut_depth = cp.cut_depth;
-        cps_.pop_back();
+        PopChoice();
         *goals = Cons(alternative, cont, cut_depth);
         return true;
       }
       case ChoiceKind::kAnswers: {
         if (cp.factored) {
-          // Factored return: per answer, rebuild only the binding segments
-          // and unify each against its (goal-aliased) template variable.
+          // Factored return: per answer, match only the binding segments,
+          // each against its (goal-aliased) template variable.
           while (cp.next_answer < cp.answers->size()) {
             // Answer subsumption: an answer retired by a better one is
             // skipped, not returned. The cursor itself stays valid.
@@ -155,13 +250,12 @@ bool Machine::Backtrack(size_t base_cp, const GoalNode** goals) {
               continue;
             }
             cp.answers->ReadBindings(cp.next_answer++, &answer_scratch_);
-            answer_vars_scratch_.assign(answer_scratch_.num_vars, 0);
+            answer_vars_scratch_.assign(answer_scratch_.num_vars, kUnsetSlot);
             size_t pos = 0;
             bool ok = true;
             for (Word tv : cp.template_vars) {
-              Word b = UnflattenNext(store_, answer_scratch_, &pos,
-                                     &answer_vars_scratch_);
-              if (!store_->Unify(tv, b)) {
+              if (!UnifyFlat(store_, answer_scratch_, &pos, tv,
+                             &answer_vars_scratch_, &unify_scratch_)) {
                 ok = false;
                 break;
               }
@@ -174,7 +268,7 @@ bool Machine::Backtrack(size_t base_cp, const GoalNode** goals) {
             store_->UndoTrail(cp.trail_mark);
             store_->TruncateHeap(cp.heap_mark);
           }
-          cps_.pop_back();
+          PopChoice();
           continue;
         }
         while (cp.next_answer < cp.answers->size()) {
@@ -183,15 +277,17 @@ bool Machine::Backtrack(size_t base_cp, const GoalNode** goals) {
             continue;
           }
           cp.answers->ReadAnswer(cp.next_answer++, &answer_scratch_);
-          Word t = Unflatten(store_, answer_scratch_);
-          if (store_->Unify(cp.goal, t)) {
+          answer_vars_scratch_.assign(answer_scratch_.num_vars, kUnsetSlot);
+          size_t pos = 0;
+          if (UnifyFlat(store_, answer_scratch_, &pos, cp.goal,
+                        &answer_vars_scratch_, &unify_scratch_)) {
             *goals = cp.cont;
             return true;
           }
           store_->UndoTrail(cp.trail_mark);
           store_->TruncateHeap(cp.heap_mark);
         }
-        cps_.pop_back();
+        PopChoice();
         continue;
       }
       case ChoiceKind::kBetween: {
@@ -201,11 +297,9 @@ bool Machine::Backtrack(size_t base_cp, const GoalNode** goals) {
             *goals = cp.cont;
             return true;
           }
-          store_->UndoTrail(cp.trail_mark);
-          store_->TruncateHeap(cp.heap_mark);
           continue;
         }
-        cps_.pop_back();
+        PopChoice();
         continue;
       }
     }
@@ -213,15 +307,39 @@ bool Machine::Backtrack(size_t base_cp, const GoalNode** goals) {
   return false;
 }
 
+void Machine::GrowFunctorTable(FunctorId functor) {
+  functor_table_.resize(
+      std::max<size_t>(functor + 1, 2 * functor_table_.size()));
+}
+
+Predicate* Machine::LookupPredicate(FunctorId functor) {
+  FunctorEntry& entry = Entry(functor);
+  if (entry.pred == nullptr) entry.pred = program_->Lookup(functor);
+  return entry.pred;
+}
+
+FunctorId Machine::AtomFunctor(AtomId atom) {
+  if (atom >= atom_functors_.size()) {
+    atom_functors_.resize(
+        std::max<size_t>(atom + 1, 2 * atom_functors_.size()), kNoFunctor);
+  }
+  FunctorId& functor = atom_functors_[atom];
+  if (functor == kNoFunctor) {
+    functor = store_->symbols()->InternFunctor(atom, 0);
+  }
+  return functor;
+}
+
 Machine::StepResult Machine::CallUserPredicate(Word goal, FunctorId functor,
                                                const GoalNode* cont,
                                                uint32_t cut_depth,
-                                               bool force_clause_resolution) {
+                                               bool force_clause_resolution,
+                                               const GoalNode** goals) {
   ++stats_.user_calls;
   if (has_counted_functor_ && functor == counted_functor_) {
     ++stats_.counted_calls;
   }
-  Predicate* pred = program_->Lookup(functor);
+  Predicate* pred = LookupPredicate(functor);
 
   if (!force_clause_resolution && pred != nullptr && pred->tabled() &&
       !ignore_tabling_) {
@@ -268,7 +386,7 @@ Machine::StepResult Machine::CallUserPredicate(Word goal, FunctorId functor,
           fo_goal = store_->MakeStruct(fo, args);
         }
         return CallUserPredicate(fo_goal, fo, cont, cut_depth,
-                                 force_clause_resolution);
+                                 force_clause_resolution, goals);
       }
     }
     if (pred == nullptr) {
@@ -281,17 +399,38 @@ Machine::StepResult Machine::CallUserPredicate(Word goal, FunctorId functor,
     return StepResult::kBacktrack;  // declared but currently empty: fail
   }
 
-  ChoicePoint cp;
-  cp.kind = ChoiceKind::kClauses;
-  cp.cont = cont;
-  cp.trail_mark = store_->TrailMark();
-  cp.heap_mark = store_->HeapMark();
-  cp.goal = goal;
-  cp.pred = pred;
-  cp.candidates = pred->Candidates(*store_, goal);
-  cps_.push_back(std::move(cp));
-  ++stats_.choice_points;
-  return StepResult::kBacktrack;  // enter the new choice point
+  // Find the first two live candidates. With one, its clause runs without
+  // a choice point, and a cut in its body cuts back to the height at the
+  // call. With two or more, the choice point keeps the untried rest.
+  CandidateSpan candidates = pred->CandidateIds(*store_, goal, &index_scratch_);
+  auto next_live = [&](uint32_t i) {
+    while (i < candidates.size && pred->clause(candidates[i]).erased) ++i;
+    return i;
+  };
+  uint32_t first = next_live(0);
+  if (first == candidates.size) return StepResult::kBacktrack;
+  uint32_t second = next_live(first + 1);
+  uint32_t entry_depth = static_cast<uint32_t>(cps_.size());
+  if (second < candidates.size) {
+    ChoicePoint& cp = PushChoice(ChoiceKind::kClauses, cont);
+    cp.goal = goal;
+    cp.pred = pred;
+    cp.front_inserts = pred->front_inserts();
+    if (candidates.ids == nullptr) {
+      cp.next_candidate = second;
+      cp.end_candidate = candidates.size;
+    } else {
+      cp.in_pool = true;
+      cp.next_candidate = static_cast<uint32_t>(candidate_pool_.size());
+      candidate_pool_.insert(candidate_pool_.end(), candidates.ids + second,
+                             candidates.ids + candidates.size);
+      cp.end_candidate = static_cast<uint32_t>(candidate_pool_.size());
+    }
+  }
+  if (TryClause(pred, candidates[first], goal, cont, entry_depth, goals)) {
+    return StepResult::kAdvance;
+  }
+  return StepResult::kBacktrack;
 }
 
 Machine::StepResult Machine::DispatchGoal(const GoalNode** goals) {
@@ -308,161 +447,164 @@ Machine::StepResult Machine::DispatchGoal(const GoalNode** goals) {
   }
 
   SymbolTable* symbols = store_->symbols();
-  FunctorId functor = IsAtom(goal)
-                          ? symbols->InternFunctor(AtomOf(goal), 0)
-                          : store_->StructFunctor(goal);
+  FunctorId functor = IsAtom(goal) ? AtomFunctor(AtomOf(goal))
+                                   : store_->StructFunctor(goal);
 
   // --- Control constructs ----------------------------------------------------
-  if (functor == f_true_) {
-    *goals = node->next;
-    return StepResult::kAdvance;
-  }
-  if (functor == f_comma_) {
-    Word a = store_->Arg(goal, 0);
-    Word b = store_->Arg(goal, 1);
-    *goals = Cons(a, Cons(b, node->next, node->cut_depth), node->cut_depth);
-    return StepResult::kAdvance;
-  }
-  if (functor == f_fail_ || functor == f_false_) {
-    return StepResult::kBacktrack;
-  }
-  if (functor == f_cut_ || functor == f_tcut_) {
-    // tcut/0 (section 4.4) prunes like '!'; freeing the tables it cuts over
-    // is only done when provably safe, which under local scheduling is the
-    // existential-negation path inside the evaluator. Here it is a cut.
-    CutTo(node->cut_depth);
-    *goals = node->next;
-    return StepResult::kAdvance;
-  }
-  if (functor == f_semicolon_ || functor == f_arrow_) {
-    Word condition = 0;
-    Word then_goal = 0;
-    Word else_goal = 0;
-    bool is_ite = false;
-    if (functor == f_arrow_) {
-      is_ite = true;
-      condition = store_->Arg(goal, 0);
-      then_goal = store_->Arg(goal, 1);
-      else_goal = AtomCell(symbols->InternAtom("fail"));
-    } else {
-      Word left = store_->Deref(store_->Arg(goal, 0));
-      else_goal = store_->Arg(goal, 1);
-      if (IsStruct(left) && store_->StructFunctor(left) == f_arrow_) {
+  Control control = Entry(functor).control;
+  switch (control) {
+    case Control::kNone:
+      break;
+    case Control::kTrue:
+      *goals = node->next;
+      return StepResult::kAdvance;
+    case Control::kConjunction: {
+      // Clause bodies arrive split into conjuncts; this handles conjunctions
+      // built at run time (call/1, findall/3 goals, ...).
+      Word a = store_->Arg(goal, 0);
+      Word b = store_->Arg(goal, 1);
+      *goals = Cons(a, Cons(b, node->next, node->cut_depth), node->cut_depth);
+      return StepResult::kAdvance;
+    }
+    case Control::kFail:
+      return StepResult::kBacktrack;
+    case Control::kCut:
+      // tcut/0 (section 4.4) prunes like '!'; freeing the tables it cuts
+      // over is only done when provably safe, which under local scheduling
+      // is the existential-negation path inside the evaluator. Here it is a
+      // cut.
+      CutTo(node->cut_depth);
+      *goals = node->next;
+      return StepResult::kAdvance;
+    case Control::kDisjunction:
+    case Control::kIfThen: {
+      Word condition = 0;
+      Word then_goal = 0;
+      Word else_goal = 0;
+      bool is_ite = false;
+      if (functor == f_arrow_) {
         is_ite = true;
-        condition = store_->Arg(left, 0);
-        then_goal = store_->Arg(left, 1);
+        condition = store_->Arg(goal, 0);
+        then_goal = store_->Arg(goal, 1);
+        else_goal = fail_atom_;
       } else {
-        condition = left;  // plain disjunction
+        Word left = store_->Deref(store_->Arg(goal, 0));
+        else_goal = store_->Arg(goal, 1);
+        if (IsStruct(left) && store_->StructFunctor(left) == f_arrow_) {
+          is_ite = true;
+          condition = store_->Arg(left, 0);
+          then_goal = store_->Arg(left, 1);
+        } else {
+          condition = left;  // plain disjunction
+        }
       }
+      ChoicePoint& cp = PushChoice(ChoiceKind::kDisjunction, node->next);
+      cp.alternative = else_goal;
+      cp.cut_depth = node->cut_depth;
+      if (is_ite) {
+        size_t cp_index = cps_.size() - 1;
+        Word commit = store_->MakeStruct(
+            f_ite_commit_, {IntCell(static_cast<int64_t>(cp_index))});
+        // The condition gets a local cut barrier; Then is cut-transparent.
+        const GoalNode* rest = Cons(then_goal, node->next, node->cut_depth);
+        rest = Cons(commit, rest, node->cut_depth);
+        *goals = Cons(condition, rest, static_cast<uint32_t>(cps_.size()));
+      } else {
+        *goals = Cons(condition, node->next, node->cut_depth);
+      }
+      return StepResult::kAdvance;
     }
-    ChoicePoint cp;
-    cp.kind = ChoiceKind::kDisjunction;
-    cp.cont = node->next;
-    cp.trail_mark = store_->TrailMark();
-    cp.heap_mark = store_->HeapMark();
-    cp.alternative = else_goal;
-    cp.cut_depth = node->cut_depth;
-    cps_.push_back(std::move(cp));
-    ++stats_.choice_points;
-    if (is_ite) {
-      size_t cp_index = cps_.size() - 1;
-      Word commit = store_->MakeStruct(
-          f_ite_commit_, {IntCell(static_cast<int64_t>(cp_index))});
-      // The condition gets a local cut barrier; Then is cut-transparent.
-      const GoalNode* rest = Cons(then_goal, node->next, node->cut_depth);
-      rest = Cons(commit, rest, node->cut_depth);
-      *goals = Cons(condition, rest, static_cast<uint32_t>(cps_.size()));
-    } else {
-      *goals = Cons(condition, node->next, node->cut_depth);
+    case Control::kIteCommit: {
+      int64_t cp_index = IntValue(store_->Deref(store_->Arg(goal, 0)));
+      CutTo(static_cast<size_t>(cp_index));
+      *goals = node->next;
+      return StepResult::kAdvance;
     }
-    return StepResult::kAdvance;
-  }
-  if (functor == f_ite_commit_) {
-    int64_t cp_index = IntValue(store_->Deref(store_->Arg(goal, 0)));
-    CutTo(static_cast<size_t>(cp_index));
-    *goals = node->next;
-    return StepResult::kAdvance;
-  }
-  if (functor == f_naf_) {
-    size_t trail_mark = store_->TrailMark();
-    size_t heap_mark = store_->HeapMark();
-    bool found = false;
-    const GoalNode* sub = Cons(store_->Arg(goal, 0), nullptr,
-                               static_cast<uint32_t>(cps_.size()));
-    Status status = Run(sub, [&found]() {
-      found = true;
-      return SolveAction::kStop;
-    });
-    store_->UndoTrail(trail_mark);
-    store_->TruncateHeap(heap_mark);
-    if (!status.ok()) {
-      SetError(status);
-      return StepResult::kError;
-    }
-    if (found) return StepResult::kBacktrack;
-    *goals = node->next;
-    return StepResult::kAdvance;
-  }
-  if (functor == f_tnot_ || functor == f_e_tnot_) {
-    if (handler_ == nullptr) {
-      SetError(InvalidError("tnot/e_tnot require the tabling evaluator"));
-      return StepResult::kError;
-    }
-    switch (handler_->OnNegation(this, store_->Arg(goal, 0), node->next,
-                                 functor == f_e_tnot_)) {
-      case TabledCallHandler::CallOutcome::kFail:
-        return StepResult::kBacktrack;
-      case TabledCallHandler::CallOutcome::kContinue:
-        *goals = node->next;
-        return StepResult::kAdvance;
-      case TabledCallHandler::CallOutcome::kError:
+    case Control::kNegation: {
+      size_t trail_mark = store_->TrailMark();
+      size_t heap_mark = store_->HeapMark();
+      bool found = false;
+      const GoalNode* sub = Cons(store_->Arg(goal, 0), nullptr,
+                                 static_cast<uint32_t>(cps_.size()));
+      Status status = Run(sub, [&found]() {
+        found = true;
+        return SolveAction::kStop;
+      });
+      store_->UndoTrail(trail_mark);
+      store_->TruncateHeap(heap_mark);
+      if (!status.ok()) {
+        SetError(status);
         return StepResult::kError;
+      }
+      if (found) return StepResult::kBacktrack;
+      *goals = node->next;
+      return StepResult::kAdvance;
     }
-  }
-  if (functor == f_tfindall_) {
-    if (handler_ == nullptr) {
-      SetError(InvalidError("tfindall/3 requires the tabling evaluator"));
-      return StepResult::kError;
-    }
-    switch (handler_->OnTFindall(this, store_->Arg(goal, 0),
-                                 store_->Arg(goal, 1), store_->Arg(goal, 2),
-                                 node->next)) {
-      case TabledCallHandler::CallOutcome::kFail:
-        return StepResult::kBacktrack;
-      case TabledCallHandler::CallOutcome::kContinue:
-        *goals = node->next;
-        return StepResult::kAdvance;
-      case TabledCallHandler::CallOutcome::kError:
+    case Control::kTnot:
+    case Control::kETnot: {
+      if (handler_ == nullptr) {
+        SetError(InvalidError("tnot/e_tnot require the tabling evaluator"));
         return StepResult::kError;
+      }
+      switch (handler_->OnNegation(this, store_->Arg(goal, 0), node->next,
+                                   control == Control::kETnot)) {
+        case TabledCallHandler::CallOutcome::kFail:
+          return StepResult::kBacktrack;
+        case TabledCallHandler::CallOutcome::kContinue:
+          *goals = node->next;
+          return StepResult::kAdvance;
+        case TabledCallHandler::CallOutcome::kError:
+          return StepResult::kError;
+      }
+      break;
     }
-  }
-  if (functor == f_tabled_answer_) {
-    if (handler_ == nullptr) {
-      SetError(InvalidError("orphan $tabled_answer"));
-      return StepResult::kError;
-    }
-    int64_t index = IntValue(store_->Deref(store_->Arg(goal, 0)));
-    switch (handler_->OnTabledAnswer(this, index, store_->Arg(goal, 1))) {
-      case TabledCallHandler::CallOutcome::kFail:
-        return StepResult::kBacktrack;
-      case TabledCallHandler::CallOutcome::kContinue:
-        *goals = node->next;
-        return StepResult::kAdvance;
-      case TabledCallHandler::CallOutcome::kError:
+    case Control::kTFindall: {
+      if (handler_ == nullptr) {
+        SetError(InvalidError("tfindall/3 requires the tabling evaluator"));
         return StepResult::kError;
+      }
+      switch (handler_->OnTFindall(this, store_->Arg(goal, 0),
+                                   store_->Arg(goal, 1), store_->Arg(goal, 2),
+                                   node->next)) {
+        case TabledCallHandler::CallOutcome::kFail:
+          return StepResult::kBacktrack;
+        case TabledCallHandler::CallOutcome::kContinue:
+          *goals = node->next;
+          return StepResult::kAdvance;
+        case TabledCallHandler::CallOutcome::kError:
+          return StepResult::kError;
+      }
+      break;
     }
-  }
-  if (functor == f_resolve_clauses_) {
-    Word inner = store_->Deref(store_->Arg(goal, 0));
-    std::optional<FunctorId> inner_functor =
-        Program::CallableFunctor(*store_, inner);
-    if (!inner_functor.has_value()) {
-      SetError(TypeError("$resolve_clauses argument not callable"));
-      return StepResult::kError;
+    case Control::kTabledAnswer: {
+      if (handler_ == nullptr) {
+        SetError(InvalidError("orphan $tabled_answer"));
+        return StepResult::kError;
+      }
+      int64_t index = IntValue(store_->Deref(store_->Arg(goal, 0)));
+      switch (handler_->OnTabledAnswer(this, index, store_->Arg(goal, 1))) {
+        case TabledCallHandler::CallOutcome::kFail:
+          return StepResult::kBacktrack;
+        case TabledCallHandler::CallOutcome::kContinue:
+          *goals = node->next;
+          return StepResult::kAdvance;
+        case TabledCallHandler::CallOutcome::kError:
+          return StepResult::kError;
+      }
+      break;
     }
-    return CallUserPredicate(inner, *inner_functor, node->next,
-                             node->cut_depth,
-                             /*force_clause_resolution=*/true);
+    case Control::kResolveClauses: {
+      Word inner = store_->Deref(store_->Arg(goal, 0));
+      if (!IsAtom(inner) && !IsStruct(inner)) {
+        SetError(TypeError("$resolve_clauses argument not callable"));
+        return StepResult::kError;
+      }
+      FunctorId inner_functor = IsAtom(inner) ? AtomFunctor(AtomOf(inner))
+                                              : store_->StructFunctor(inner);
+      return CallUserPredicate(inner, inner_functor, node->next,
+                               node->cut_depth,
+                               /*force_clause_resolution=*/true, goals);
+    }
   }
 
   // --- HiLog bridge ------------------------------------------------------------
@@ -489,7 +631,12 @@ Machine::StepResult Machine::DispatchGoal(const GoalNode** goals) {
   }
 
   // --- Builtins ----------------------------------------------------------------
-  BuiltinFn builtin = builtins_->Find(functor);
+  FunctorEntry& entry = Entry(functor);
+  if (!entry.builtin_known) {
+    entry.builtin = builtins_->Find(functor);
+    entry.builtin_known = true;
+  }
+  BuiltinFn builtin = entry.builtin;
   if (builtin != nullptr) {
     ++stats_.builtin_calls;
     pending_goals_.clear();
@@ -517,50 +664,53 @@ Machine::StepResult Machine::DispatchGoal(const GoalNode** goals) {
 
   // --- User predicates -----------------------------------------------------------
   return CallUserPredicate(goal, functor, node->next, node->cut_depth,
-                           /*force_clause_resolution=*/false);
+                           /*force_clause_resolution=*/false, goals);
 }
 
 Status Machine::Run(const GoalNode* goals, const SolutionFn& on_solution) {
   size_t base_cp = cps_.size();
+  size_t arena_mark = arena_.size();
+  size_t trail_mark = store_->TrailMark();
+  size_t heap_mark = store_->HeapMark();
   const GoalNode* g = goals;
   bool saved_stop = stop_requested_;
   stop_requested_ = false;
+  auto finish = [&](Status status) {
+    stop_requested_ = saved_stop;
+    arena_.Truncate(arena_mark);
+    return status;
+  };
+  auto exhausted = [&]() {
+    store_->UndoTrail(trail_mark);
+    store_->TruncateHeap(heap_mark);
+    return finish(Status::Ok());
+  };
 
   while (true) {
     if (stop_requested_) {
-      stop_requested_ = saved_stop;
       CutTo(base_cp);
-      return Status::Ok();
+      return finish(Status::Ok());
     }
     if (g == nullptr) {
       SolveAction action = on_solution();
       if (stop_requested_ || action == SolveAction::kStop) {
-        stop_requested_ = saved_stop;
         CutTo(base_cp);
-        return Status::Ok();
+        return finish(Status::Ok());
       }
-      if (!Backtrack(base_cp, &g)) {
-        stop_requested_ = saved_stop;
-        return Status::Ok();
-      }
+      if (!Backtrack(base_cp, &g)) return exhausted();
       continue;
     }
-    StepResult step = DispatchGoal(&g);
-    switch (step) {
+    switch (DispatchGoal(&g)) {
       case StepResult::kAdvance:
         continue;
       case StepResult::kBacktrack:
-        if (!Backtrack(base_cp, &g)) {
-          stop_requested_ = saved_stop;
-          return Status::Ok();
-        }
+        if (!Backtrack(base_cp, &g)) return exhausted();
         continue;
       case StepResult::kError: {
         Status status = error_;
         error_ = Status::Ok();
         CutTo(base_cp);
-        stop_requested_ = saved_stop;
-        return status;
+        return finish(status);
       }
       default:
         continue;
@@ -569,8 +719,11 @@ Status Machine::Run(const GoalNode* goals, const SolutionFn& on_solution) {
 }
 
 Status Machine::Solve(Word goal, const SolutionFn& on_solution) {
+  size_t arena_mark = arena_.size();
   const GoalNode* g = Cons(goal, nullptr, static_cast<uint32_t>(cps_.size()));
-  return Run(g, on_solution);
+  Status status = Run(g, on_solution);
+  arena_.Truncate(arena_mark);
+  return status;
 }
 
 Result<bool> Machine::SolveOnce(Word goal) {
@@ -622,62 +775,78 @@ Result<int64_t> Machine::EvalArith(Word expression) {
   if (IsRef(e)) {
     return InstantiationError("arithmetic on an unbound variable");
   }
-  SymbolTable* symbols = store_->symbols();
-  if (IsStruct(e)) {
-    FunctorId f = store_->StructFunctor(e);
-    const std::string& name = symbols->AtomName(symbols->FunctorAtom(f));
-    int arity = symbols->FunctorArity(f);
-    if (arity == 1) {
-      Result<int64_t> a = EvalArith(store_->Arg(e, 0));
-      if (!a.ok()) return a;
-      int64_t x = a.value();
-      if (name == "-") return -x;
-      if (name == "+") return x;
-      if (name == "abs") return x < 0 ? -x : x;
-      if (name == "sign") return x > 0 ? 1 : (x < 0 ? -1 : 0);
-      if (name == "\\") return ~x;
-      return TypeError("unknown arithmetic function " + name + "/1");
-    }
-    if (arity == 2) {
-      Result<int64_t> a = EvalArith(store_->Arg(e, 0));
-      if (!a.ok()) return a;
-      Result<int64_t> b = EvalArith(store_->Arg(e, 1));
-      if (!b.ok()) return b;
-      int64_t x = a.value();
-      int64_t y = b.value();
-      if (name == "+") return x + y;
-      if (name == "-") return x - y;
-      if (name == "*") return x * y;
-      if (name == "//" || name == "/") {
-        if (y == 0) return TypeError("zero divisor");
-        return x / y;
-      }
-      if (name == "mod") {
-        if (y == 0) return TypeError("zero divisor");
-        int64_t m = x % y;
-        if (m != 0 && ((m < 0) != (y < 0))) m += y;
-        return m;
-      }
-      if (name == "rem") {
-        if (y == 0) return TypeError("zero divisor");
-        return x % y;
-      }
-      if (name == "min") return x < y ? x : y;
-      if (name == "max") return x > y ? x : y;
-      if (name == ">>") return x >> y;
-      if (name == "<<") return x << y;
-      if (name == "/\\") return x & y;
-      if (name == "\\/") return x | y;
-      if (name == "xor") return x ^ y;
-      if (name == "**" || name == "^") {
-        int64_t r = 1;
-        for (int64_t i = 0; i < y; ++i) r *= x;
-        return r;
-      }
-      return TypeError("unknown arithmetic function " + name + "/2");
-    }
+  if (!IsStruct(e)) return TypeError("bad arithmetic expression");
+  FunctorId f = store_->StructFunctor(e);
+  int arity = store_->symbols()->FunctorArity(f);
+  if (arity != 1 && arity != 2) {
+    return TypeError("bad arithmetic expression");
   }
-  return TypeError("bad arithmetic expression");
+  Result<int64_t> a = EvalArith(store_->Arg(e, 0));
+  if (!a.ok()) return a;
+  int64_t x = a.value();
+  int64_t y = 0;
+  if (arity == 2) {
+    Result<int64_t> b = EvalArith(store_->Arg(e, 1));
+    if (!b.ok()) return b;
+    y = b.value();
+  }
+  ArithOp op = f < arith_ops_.size() ? static_cast<ArithOp>(arith_ops_[f])
+                                     : kNoOp;
+  switch (op) {
+    case kNeg:
+      return -x;
+    case kPlus:
+      return x;
+    case kAbs:
+      return x < 0 ? -x : x;
+    case kSign:
+      return x > 0 ? 1 : (x < 0 ? -1 : 0);
+    case kBitNot:
+      return ~x;
+    case kAdd:
+      return x + y;
+    case kSub:
+      return x - y;
+    case kMul:
+      return x * y;
+    case kDiv:
+      if (y == 0) return TypeError("zero divisor");
+      return x / y;
+    case kMod: {
+      if (y == 0) return TypeError("zero divisor");
+      int64_t m = x % y;
+      if (m != 0 && ((m < 0) != (y < 0))) m += y;
+      return m;
+    }
+    case kRem:
+      if (y == 0) return TypeError("zero divisor");
+      return x % y;
+    case kMin:
+      return x < y ? x : y;
+    case kMax:
+      return x > y ? x : y;
+    case kShr:
+      return x >> y;
+    case kShl:
+      return x << y;
+    case kBitAnd:
+      return x & y;
+    case kBitOr:
+      return x | y;
+    case kXor:
+      return x ^ y;
+    case kPow: {
+      int64_t r = 1;
+      for (int64_t i = 0; i < y; ++i) r *= x;
+      return r;
+    }
+    case kNoOp:
+      break;
+  }
+  const SymbolTable* symbols = store_->symbols();
+  return TypeError("unknown arithmetic function " +
+                   symbols->AtomName(symbols->FunctorAtom(f)) + "/" +
+                   std::to_string(arity));
 }
 
 }  // namespace xsb

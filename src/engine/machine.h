@@ -2,7 +2,6 @@
 #define XSB_ENGINE_MACHINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -17,6 +16,12 @@ namespace xsb {
 
 class Machine;
 class BuiltinRegistry;
+struct GoalNode;
+
+// A builtin predicate's implementation (engine/builtins.h).
+enum class BuiltinResult;
+using BuiltinFn = BuiltinResult (*)(Machine& machine, Word goal,
+                                    const GoalNode* node);
 
 // Resolvent node: an immutable cons cell in the machine's goal arena.
 // `cut_depth` is the choice-point-stack height a '!' in this goal cuts back
@@ -25,6 +30,33 @@ struct GoalNode {
   Word goal;
   const GoalNode* next;
   uint32_t cut_depth;
+};
+
+// The machine's goal arena: a stack of resolvent nodes kept in fixed-size
+// chunks, so a node never moves while it is live. Truncate() pops back to a
+// mark taken earlier; chunks are kept for reuse, so the footprint is the
+// high-water mark of live nodes, not the number ever made.
+class GoalArena {
+ public:
+  const GoalNode* Push(const GoalNode& node) {
+    size_t chunk = size_ / kChunkNodes;
+    if (chunk == chunks_.size()) {
+      chunks_.push_back(std::make_unique<GoalNode[]>(kChunkNodes));
+    }
+    GoalNode* slot = &chunks_[chunk][size_ % kChunkNodes];
+    *slot = node;
+    ++size_;
+    return slot;
+  }
+  size_t size() const { return size_; }
+  void Truncate(size_t mark) {
+    if (mark < size_) size_ = mark;
+  }
+
+ private:
+  static constexpr size_t kChunkNodes = 4096;
+  std::vector<std::unique_ptr<GoalNode[]>> chunks_;
+  size_t size_ = 0;
 };
 
 // Decision returned by the per-solution callback.
@@ -131,7 +163,10 @@ struct MachineStats {
 // The SLD(NF) resolution engine: a structure-copying abstract machine with a
 // goal list, a choice-point stack and the TermStore's binding trail. This is
 // the "WAM-level" execution core of the reproduction; tabling (SLG) plugs in
-// through TabledCallHandler, making the combination the SLG engine.
+// through TabledCallHandler, making the combination the SLG engine. Clause
+// heads are matched against the stored clause without copying it, and a
+// call pushes a choice point only when a second live candidate exists (see
+// DESIGN.md, "Clause resolution in Machine").
 class Machine {
  public:
   Machine(TermStore* store, Program* program);
@@ -170,13 +205,17 @@ class Machine {
 
   // Runs an explicit resolvent. Nested invocations (negation, findall,
   // tabling episodes) are re-entrant: each Run owns the choice points it
-  // creates.
+  // creates and the goal-arena nodes made after its entry, which it frees
+  // on exit. When the resolvent fails, bindings and heap cells made during
+  // the Run are undone too.
   Status Run(const GoalNode* goals, const SolutionFn& on_solution);
 
   const GoalNode* Cons(Word goal, const GoalNode* next, uint32_t cut_depth) {
-    arena_.push_back(GoalNode{goal, next, cut_depth});
-    return &arena_.back();
+    return arena_.Push(GoalNode{goal, next, cut_depth});
   }
+
+  // Live goal-arena nodes. Solve leaves it as it found it.
+  size_t arena_size() const { return arena_.size(); }
 
   // Asks the current Run loop to stop as if solutions were exhausted
   // (used by existential negation to abandon a batch).
@@ -206,9 +245,6 @@ class Machine {
   // Discards choice points above `depth` (the cut operation).
   void CutTo(size_t depth);
 
-  // Resets the goal arena; only call between top-level queries.
-  void ResetArena() { arena_.clear(); }
-
   // Takes ownership of a materialized answer source referenced by an
   // answer choice point (clause/2); freed with the machine. Returns the
   // adopted pointer for use in PushAnswerChoices.
@@ -236,12 +272,18 @@ class Machine {
     const GoalNode* cont;
     size_t trail_mark;
     size_t heap_mark;
+    size_t arena_mark;  // goal-arena size at push
+    size_t pool_mark;   // candidate_pool_ size at push
     Word goal = 0;
     uint32_t cut_depth = 0;
-    // kClauses
+    // kClauses: the untried candidates, positions next..end either of
+    // candidate_pool_ (in_pool) or of the clause ids themselves. Ids are as
+    // of the call; front_inserts maps them to the current numbering.
     Predicate* pred = nullptr;
-    std::vector<ClauseId> candidates;
-    size_t next_candidate = 0;
+    uint32_t next_candidate = 0;
+    uint32_t end_candidate = 0;
+    uint32_t front_inserts = 0;
+    bool in_pool = false;
     // kDisjunction
     Word alternative = 0;
     // kAnswers
@@ -258,6 +300,34 @@ class Machine {
     int64_t max_value = 0;
   };
 
+  // Control constructs the dispatcher handles itself.
+  enum class Control : uint8_t {
+    kNone,
+    kTrue,
+    kConjunction,
+    kFail,
+    kCut,
+    kDisjunction,
+    kIfThen,
+    kIteCommit,
+    kNegation,
+    kTnot,
+    kETnot,
+    kTFindall,
+    kTabledAnswer,
+    kResolveClauses,
+  };
+
+  // What one functor means as a goal, filled in as it is first called.
+  struct FunctorEntry {
+    Control control = Control::kNone;
+    bool builtin_known = false;  // `builtin` resolved (registry is fixed)
+    BuiltinFn builtin = nullptr;
+    // Cached Program::Lookup hit. Misses are not cached, so a predicate
+    // created later is still found; predicates are never erased.
+    Predicate* pred = nullptr;
+  };
+
   enum class StepResult { kAdvance, kBacktrack, kSolution, kError, kStopped };
 
   // Resolves the goal at the head of *goals (dispatch). On success updates
@@ -266,15 +336,35 @@ class Machine {
   // Tries alternatives from the top choice point; false when the whole
   // stack (down to base) is exhausted.
   bool Backtrack(size_t base_cp, const GoalNode** goals);
-  // Resolves `goal` against a user predicate's clauses.
+  // Resolves `goal` against a user predicate's clauses; on kAdvance *goals
+  // is the new resolvent.
   StepResult CallUserPredicate(Word goal, FunctorId functor,
                                const GoalNode* cont, uint32_t cut_depth,
-                               bool force_clause_resolution);
-  // Instantiates clause `id` of `pred` and unifies its head with `goal`.
-  // On success sets *body_goals to the clause body resolvent.
+                               bool force_clause_resolution,
+                               const GoalNode** goals);
+  // Matches the head of clause `id` of `pred` against `goal` and, on
+  // success, sets *new_goals to the clause body's conjuncts before `cont`,
+  // each with cut barrier `entry_depth`.
   bool TryClause(Predicate* pred, ClauseId id, Word goal,
                  const GoalNode* cont, uint32_t entry_depth,
                  const GoalNode** new_goals);
+
+  // Pushes a choice point of `kind` with the current marks.
+  ChoicePoint& PushChoice(ChoiceKind kind, const GoalNode* cont);
+  // Pops the top choice point and its candidate-pool segment.
+  void PopChoice();
+  // Advances cp.next_candidate past erased clauses; true if one remains.
+  bool SkipDeadCandidates(ChoicePoint& cp) const;
+  ClauseId CandidateAt(const ChoicePoint& cp) const;
+
+  FunctorEntry& Entry(FunctorId functor) {
+    if (functor >= functor_table_.size()) GrowFunctorTable(functor);
+    return functor_table_[functor];
+  }
+  void GrowFunctorTable(FunctorId functor);
+  Predicate* LookupPredicate(FunctorId functor);
+  // The functor of atom goal `atom` (name/0), interned once per Machine.
+  FunctorId AtomFunctor(AtomId atom);
 
   TermStore* store_;
   Program* program_;
@@ -282,9 +372,15 @@ class Machine {
   bool ignore_tabling_ = false;
   std::unique_ptr<BuiltinRegistry> builtins_;
 
-  std::deque<GoalNode> arena_;
+  GoalArena arena_;
   std::vector<std::unique_ptr<AnswerSource>> adopted_sources_;
   std::vector<ChoicePoint> cps_;
+  // Candidate ids of the clause choice points, as a stack of segments; a
+  // segment is dropped with its choice point.
+  std::vector<ClauseId> candidate_pool_;
+  std::vector<ClauseId> index_scratch_;  // ids computed by an index lookup
+  std::vector<Word> body_scratch_;       // a clause body's built conjuncts
+  std::vector<uint64_t> unify_scratch_;  // UnifyFlat's work stack
   FlatTerm answer_scratch_;  // reused by the answer-choice backtracker
   std::vector<Word> answer_vars_scratch_;  // fresh vars per factored answer
   FlatTerm findall_scratch_;  // reused by FindAll's per-solution flatten
@@ -298,10 +394,15 @@ class Machine {
   FunctorId counted_functor_ = 0;
   bool has_counted_functor_ = false;
 
+  std::vector<FunctorEntry> functor_table_;  // indexed by FunctorId
+  std::vector<FunctorId> atom_functors_;     // indexed by AtomId
+  // Arithmetic operator of each functor (an ArithOp, 0 = none), indexed by
+  // FunctorId; covers the operators' ids only.
+  std::vector<uint8_t> arith_ops_;
+
   // Interned ids used by the dispatcher.
-  FunctorId f_comma_, f_semicolon_, f_arrow_, f_naf_, f_cut_, f_tcut_,
-      f_true_, f_fail_, f_false_, f_ite_commit_, f_tabled_answer_, f_tnot_,
-      f_e_tnot_, f_tfindall_, f_resolve_clauses_;
+  FunctorId f_arrow_, f_ite_commit_;
+  Word fail_atom_;
 };
 
 }  // namespace xsb

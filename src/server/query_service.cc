@@ -117,17 +117,21 @@ Result<size_t> QueryService::Count(std::string_view goal) {
 Result<std::vector<Answer>> QueryService::RunGoal(Session& session,
                                                   std::string_view goal,
                                                   size_t max_answers) {
+  // Marks taken before parsing, so the query term is freed with the rest.
+  size_t trail = session.store->TrailMark();
+  size_t heap = session.store->HeapMark();
   std::string buffer(goal);
   buffer += " .";
   Reader reader(session.store.get(), program_->ops(), buffer,
                 program_->hilog_atoms());
   Result<Word> parsed = reader.ReadClause();
-  if (!parsed.ok()) return parsed.status();
+  if (!parsed.ok()) {
+    session.store->TruncateHeap(heap);
+    return parsed.status();
+  }
   std::vector<std::pair<std::string, Word>> names = reader.var_names();
 
   std::vector<Answer> answers;
-  size_t trail = session.store->TrailMark();
-  size_t heap = session.store->HeapMark();
   Status status = session.machine->Solve(parsed.value(), [&]() {
     Answer answer;
     answer.bindings.reserve(names.size());

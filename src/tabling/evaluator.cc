@@ -502,7 +502,6 @@ Status Evaluator::ResumeConsumer(SubgoalId owner, FlatTerm saved,
   ++stats_.resumptions;
   ++tables_->stats().consumer_resumptions;
   TermStore* store = machine_->store();
-  SymbolTable* symbols = store->symbols();
   size_t trail = store->TrailMark();
   size_t heap = store->HeapMark();
 
@@ -518,7 +517,7 @@ Status Evaluator::ResumeConsumer(SubgoalId owner, FlatTerm saved,
   }
   // Rebuild the continuation chain.
   std::vector<Word> goals;
-  FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
+  FunctorId cons = store->cons_functor();
   while (IsStruct(list) && store->StructFunctor(list) == cons) {
     goals.push_back(store->Arg(list, 0));
     list = store->Deref(store->Arg(list, 1));

@@ -74,7 +74,7 @@ Word UnflattenAt(TermStore* store, const FlatTerm& flat, size_t* pos,
     case Tag::kLocal: {
       uint64_t ord = PayloadOf(w);
       Word& slot = (*vars)[ord];
-      if (slot == 0) slot = store->MakeVar();
+      if (slot == kUnsetSlot) slot = store->MakeVar();
       return slot;
     }
     case Tag::kAtom:
@@ -103,7 +103,7 @@ Word Unflatten(TermStore* store, const FlatTerm& flat,
                std::vector<Word>* vars) {
   std::vector<Word> local_vars;
   if (vars == nullptr) vars = &local_vars;
-  if (vars->size() < flat.num_vars) vars->resize(flat.num_vars, 0);
+  if (vars->size() < flat.num_vars) vars->resize(flat.num_vars, kUnsetSlot);
   size_t pos = 0;
   return UnflattenAt(store, flat, &pos, vars);
 }
@@ -111,6 +111,65 @@ Word Unflatten(TermStore* store, const FlatTerm& flat,
 Word UnflattenNext(TermStore* store, const FlatTerm& flat, size_t* pos,
                    std::vector<Word>* vars) {
   return UnflattenAt(store, flat, pos, vars);
+}
+
+bool UnifyFlat(TermStore* store, const FlatTerm& flat, size_t* pos_io,
+               Word t, std::vector<Word>* vars, std::vector<uint64_t>* work) {
+  // The flat side is walked in stream order. `work` holds the heap side's
+  // pending argument runs as (next cell, end cell) pairs; arguments are
+  // consecutive heap cells, so one pair covers a whole struct.
+  const std::vector<Word>& cells = flat.cells;
+  const SymbolTable* symbols = store->symbols();
+  size_t pos = *pos_io;
+  work->clear();
+  Word x = t;
+  while (true) {
+    x = store->Deref(x);
+    Word w = cells[pos];
+    switch (TagOf(w)) {
+      case Tag::kLocal: {
+        ++pos;
+        Word& slot = (*vars)[PayloadOf(w)];
+        if (slot == kUnsetSlot) {
+          slot = x;
+        } else if (!store->Unify(slot, x)) {
+          return false;
+        }
+        break;
+      }
+      case Tag::kFunctor: {
+        if (IsRef(x)) {
+          store->Bind(x, UnflattenAt(store, flat, &pos, vars));
+          break;
+        }
+        if (!IsStruct(x) || store->StructFunctor(x) != FunctorOf(w)) {
+          return false;
+        }
+        ++pos;
+        uint64_t first = store->ArgIndex(x, 0);
+        work->push_back(first);
+        work->push_back(first + symbols->FunctorArity(FunctorOf(w)));
+        break;
+      }
+      default:  // atom or integer
+        ++pos;
+        if (IsRef(x)) {
+          store->Bind(x, w);
+        } else if (x != w) {
+          return false;
+        }
+        break;
+    }
+    // Next pending heap argument, if any.
+    while (!work->empty() && (*work)[work->size() - 2] == work->back()) {
+      work->resize(work->size() - 2);
+    }
+    if (work->empty()) {
+      *pos_io = pos;
+      return true;
+    }
+    x = store->At((*work)[work->size() - 2]++);
+  }
 }
 
 bool FlatTopFunctor(const FlatTerm& flat, FunctorId* functor) {

@@ -60,19 +60,38 @@ bool FlattenInto(const TermStore& store, Word t, FlatTerm* out);
 void FlattenAppend(const TermStore& store, Word t, std::vector<Word>* out,
                    std::vector<uint64_t>* var_cells);
 
+// Value of a variable slot that has no cell yet. Tag 7 is unused, so no heap
+// word equals it; 0 would not do, since it is RefCell(0), the variable at
+// heap cell 0.
+inline constexpr Word kUnsetSlot = ~Word{0};
+
 // Rebuilds `flat` on the heap with fresh variables. If `vars` is non-null it
-// receives the fresh cell chosen for each local variable ordinal (resized by
-// the call); passing the same vars vector to several Unflatten calls shares
-// variables across them.
+// receives the cell chosen for each local variable ordinal (resized by the
+// call, new slots kUnsetSlot); passing the same vars vector to several
+// Unflatten calls shares variables across them.
 Word Unflatten(TermStore* store, const FlatTerm& flat,
                std::vector<Word>* vars = nullptr);
 
 // Rebuilds the single subterm starting at stream position *pos of `flat`,
 // advancing *pos past it. `vars` must already be sized to cover every kLocal
-// ordinal in the segment. Used to unflatten a concatenation of stored
-// segments (e.g. the binding list of a factored answer) one term at a time.
+// ordinal in the segment; a slot already set is reused, an unset one
+// (kUnsetSlot) gets a fresh variable. Used to unflatten a concatenation of
+// stored segments (e.g. the binding list of a factored answer) one term at a
+// time.
 Word UnflattenNext(TermStore* store, const FlatTerm& flat, size_t* pos,
                    std::vector<Word>* vars);
+
+// Unifies the heap term `t` with the subterm of `flat` starting at stream
+// position *pos, without rebuilding that subterm first (clause-head
+// matching, answer return). The first occurrence of a local variable whose
+// slot in `vars` is unset takes the heap subterm it meets as its value;
+// later occurrences unify with it. Cells are built only where a flat struct
+// meets an unbound heap variable. `vars` must cover every ordinal in the
+// subterm. `work` is caller-owned scratch. On success *pos is past the
+// subterm. Returns false on a mismatch, leaving the bindings made so far on
+// the trail for the caller to unwind.
+bool UnifyFlat(TermStore* store, const FlatTerm& flat, size_t* pos, Word t,
+               std::vector<Word>* vars, std::vector<uint64_t>* work);
 
 // Reads the top functor of a flattened term without rebuilding it.
 // Returns true and sets *functor if the term is a struct.

@@ -17,11 +17,15 @@ namespace xsb {
 // back to the marks.
 class TermStore {
  public:
-  explicit TermStore(SymbolTable* symbols) : symbols_(symbols) {}
+  explicit TermStore(SymbolTable* symbols)
+      : symbols_(symbols),
+        cons_functor_(symbols->InternFunctor(symbols->dot(), 2)) {}
   TermStore(const TermStore&) = delete;
   TermStore& operator=(const TermStore&) = delete;
 
   SymbolTable* symbols() const { return symbols_; }
+  // '.'/2, the list constructor, interned once.
+  FunctorId cons_functor() const { return cons_functor_; }
 
   // --- Construction -------------------------------------------------------
 
@@ -133,6 +137,7 @@ class TermStore {
 
  private:
   SymbolTable* symbols_;
+  FunctorId cons_functor_;
   RawBuf<Word> heap_;
   RawBuf<uint64_t> trail_;
   // Scratch for Unify; reused across calls to avoid per-call allocation.

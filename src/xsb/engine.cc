@@ -77,16 +77,20 @@ Status Engine::SpecializeHiLog() {
 
 Status Engine::ForEach(std::string_view goal,
                        const std::function<bool(const Answer&)>& on_answer) {
+  // Marks taken before parsing, so the query term is freed with the rest.
+  size_t trail = store_->TrailMark();
+  size_t heap = store_->HeapMark();
   std::string buffer(goal);
   buffer += " .";
   Reader reader(store_.get(), program_->ops(), buffer,
                 program_->hilog_atoms());
   Result<Word> parsed = reader.ReadClause();
-  if (!parsed.ok()) return parsed.status();
+  if (!parsed.ok()) {
+    store_->TruncateHeap(heap);
+    return parsed.status();
+  }
   std::vector<std::pair<std::string, Word>> names = reader.var_names();
 
-  size_t trail = store_->TrailMark();
-  size_t heap = store_->HeapMark();
   ++query_depth_;
   Status status = machine_->Solve(parsed.value(), [&]() {
     Answer answer;
